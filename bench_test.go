@@ -347,6 +347,7 @@ func BenchmarkSubmitCheckpointed(b *testing.B) {
 			EveryEvents: 50_000,
 		}),
 	)
+	b.Cleanup(o.Close)
 	ids := []pythia.ID{
 		o.Intern("a"), o.Intern("b"), o.Intern("c"), o.Intern("d"),
 	}
@@ -386,6 +387,7 @@ func BenchmarkSubmitLearning(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(o.Close)
 	motif := []pythia.ID{
 		o.Intern(names[0]), o.Intern(names[1]), o.Intern(names[2]),
 		o.Intern(names[1]), o.Intern(names[2]), o.Intern(names[3]),

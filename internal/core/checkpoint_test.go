@@ -45,9 +45,11 @@ func TestCheckpointingWritesRecoverableGenerations(t *testing.T) {
 			th.Submit(b)
 		}
 	}
-	waitFor(t, "a checkpoint generation", func() bool {
-		sts, err := tracefile.ScanJournal(dir)
-		return err == nil && len(sts) > 0
+	// The snapshot cadence is per thread (DESIGN §8), so the first
+	// generations may cover thread 0 alone: wait for one that covers both.
+	waitFor(t, "a checkpoint generation covering both threads", func() bool {
+		got, _, err := tracefile.Recover(dir)
+		return err == nil && len(got.Threads) == 2
 	})
 
 	// The crash: recording simply stops here. Recovery must hand back a

@@ -12,7 +12,7 @@ import (
 
 // mustFinishRecord finalises a record-capable session, failing the test on
 // error (a healthy session's FinishRecord cannot fail).
-func mustFinishRecord(t *testing.T, s *Session) *model.TraceSet {
+func mustFinishRecord(t testing.TB, s *Session) *model.TraceSet {
 	t.Helper()
 	ts, err := s.FinishRecord()
 	if err != nil {

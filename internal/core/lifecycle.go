@@ -5,9 +5,13 @@ package core
 // paper's record-then-predict phases into one: every thread records a
 // *shadow* grammar of the live Submit stream (the plain recorder hot path)
 // while the *serving* model keeps answering predictions. A background
-// manager goroutine periodically materializes the shadow into a candidate
-// trace set, and every thread scores a *rival* predictor built from that
+// manager goroutine periodically publishes the shadow grammars as a
+// candidate, and every thread scores a *rival* predictor built from that
 // candidate against the serving predictor over the same observed events.
+// Scoring reads grammars only, so a candidate carries no timing model: the
+// timing replay (the paper's end-of-recording pass, §II-C) runs once per
+// promotion, on exactly the snapshots that were scored, which keeps one
+// learning epoch's cost proportional to the epoch, not to the stream.
 // When the rival out-predicts the serving model by a configured margin for
 // several consecutive tumbling epochs — the same hysteresis discipline as
 // the divergence watchdog — the manager promotes it: the candidate is
@@ -270,10 +274,29 @@ func (l *lineage) retained() []uint64 {
 
 // rivalSpec is the model threads currently score against the serving one:
 // the freshest shadow candidate while learning, the previous generation
-// while watching a promotion. Threads detect a change by pointer identity
-// and rebuild their rival predictor at the next event.
+// while watching a promotion. A shadow candidate's trace set holds grammars
+// only (no Timing: the rival predictor only ever Observes) and snaps keeps
+// the snapshots it was built from, so that materialize can build the full
+// trace set if the candidate is promoted. Threads detect a change by
+// pointer identity and rebuild their rival predictor at the next event.
 type rivalSpec struct {
-	ts *model.TraceSet
+	ts    *model.TraceSet
+	snaps map[int32]recorder.Checkpoint // nil when the rival is a generation
+}
+
+// materialize returns the trace set a promotion of this rival serves and
+// journals. For a shadow candidate it runs the timing replay of every
+// snapshot (the same content as eager Checkpoint.Materialize); only
+// promotions call it, never the per-epoch candidate refresh.
+func (spec *rivalSpec) materialize() *model.TraceSet {
+	if spec.snaps == nil {
+		return spec.ts
+	}
+	threads := make(map[int32]*model.ThreadTrace, len(spec.snaps))
+	for tid, snap := range spec.snaps {
+		threads[tid] = snap.Materialize()
+	}
+	return &model.TraceSet{Events: spec.ts.Events, Threads: threads}
 }
 
 // ModelInfo is a snapshot of a session's model lifecycle, for operators and
@@ -312,7 +335,7 @@ type learner struct {
 	// mu guards the offer side: latest per-thread shadow snapshots and the
 	// epoch score aggregate. Threads write here at their flush cadence.
 	mu       sync.Mutex
-	snaps    map[int32]ckptEntry
+	snaps    map[int32]recorder.Checkpoint
 	seq      uint64
 	candSeq  uint64 // snapshot seq the published candidate covers
 	aggSpec  *rivalSpec
@@ -325,7 +348,6 @@ type learner struct {
 	opMu sync.Mutex
 	lin  lineage
 	sm   lifecycle
-	mat  map[int32]matEntry
 
 	epochs atomic.Uint64
 
@@ -343,8 +365,7 @@ func newLearner(s *Session, pol LearnPolicy, ref *model.TraceSet) *learner {
 	l := &learner{
 		sess:   s,
 		pol:    pol.withDefaults(),
-		snaps:  make(map[int32]ckptEntry),
-		mat:    make(map[int32]matEntry),
+		snaps:  make(map[int32]recorder.Checkpoint),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -383,7 +404,7 @@ func newLearner(s *Session, pol LearnPolicy, ref *model.TraceSet) *learner {
 func (l *learner) offer(tid int32, snap recorder.Checkpoint) {
 	l.mu.Lock()
 	l.seq++
-	l.snaps[tid] = ckptEntry{snap: snap, seq: l.seq}
+	l.snaps[tid] = snap
 	l.mu.Unlock()
 	l.nudge()
 	runtime.Gosched()
@@ -454,7 +475,7 @@ func (l *learner) step() {
 		case actPromote:
 			// Promote exactly what was scored: the published rival.
 			if spec := l.rival.Load(); spec != nil && spec.ts != nil {
-				if _, err := l.promoteLocked(spec.ts); err != nil {
+				if _, err := l.promoteLocked(spec.materialize()); err != nil {
 					l.sess.health.noteCheckpointFailure(err)
 					// The promotion did not happen; leave the machine in
 					// the learning state rather than watching a swap that
@@ -480,49 +501,43 @@ func (l *learner) step() {
 	// would starve the epoch clock whenever the snapshot cadence divides
 	// the epoch length.
 	if !l.sm.watching && (judge || l.rival.Load() == nil) {
-		if cand := l.materializeLocked(false); cand != nil {
+		if cand := l.candidateLocked(false); cand != nil {
 			l.publishRival(cand)
 		}
 	}
 }
 
-// materializeLocked builds the candidate trace set from the latest shadow
-// snapshots, reusing cached per-thread artifacts for threads that did not
-// advance. It returns nil when there is nothing new to publish (unless
-// force is set, which rebuilds from whatever snapshots exist). Caller
-// holds opMu.
-func (l *learner) materializeLocked(force bool) *model.TraceSet {
+// candidateLocked builds a grammar-only shadow candidate from the latest
+// shadow snapshots: work proportional to the grammars, not to the stream
+// the snapshots cover. It returns nil when there is nothing new to publish
+// (unless force is set, which rebuilds from whatever snapshots exist).
+// Caller holds opMu.
+func (l *learner) candidateLocked(force bool) *rivalSpec {
 	l.mu.Lock()
 	if len(l.snaps) == 0 || (!force && l.seq == l.candSeq) {
 		l.mu.Unlock()
 		return nil
 	}
 	l.candSeq = l.seq
-	snaps := make(map[int32]ckptEntry, len(l.snaps))
-	for tid, e := range l.snaps {
-		snaps[tid] = e
+	snaps := make(map[int32]recorder.Checkpoint, len(l.snaps))
+	for tid, snap := range l.snaps {
+		snaps[tid] = snap
 	}
 	l.mu.Unlock()
 
 	threads := make(map[int32]*model.ThreadTrace, len(snaps))
-	for tid, e := range snaps {
-		if m, ok := l.mat[tid]; ok && m.seq == e.seq {
-			threads[tid] = m.tt
-			continue
-		}
-		tt := e.snap.Materialize()
-		l.mat[tid] = matEntry{seq: e.seq, tt: tt}
-		threads[tid] = tt
+	for tid, snap := range snaps {
+		threads[tid] = &model.ThreadTrace{Grammar: snap.Grammar, Truncated: snap.Truncated, Dropped: snap.Dropped}
 	}
 	// Registry read after the snapshots: the descriptor table is always a
 	// superset of the ids any snapshot grammar uses.
-	return &model.TraceSet{Events: l.sess.reg.Names(), Threads: threads}
+	ts := &model.TraceSet{Events: l.sess.reg.Names(), Threads: threads}
+	return &rivalSpec{ts: ts, snaps: snaps}
 }
 
 // publishRival installs a new scoring target and resets the aggregate —
 // scores measured against different rivals must never be mixed.
-func (l *learner) publishRival(ts *model.TraceSet) {
-	spec := &rivalSpec{ts: ts}
+func (l *learner) publishRival(spec *rivalSpec) {
 	l.mu.Lock()
 	l.aggSpec = spec
 	l.aggServ, l.aggRival, l.aggN = 0, 0, 0
@@ -567,7 +582,7 @@ func (l *learner) promoteLocked(cand *model.TraceSet) (*generation, error) {
 	// The previous generation is the watchdog now: it keeps scoring, and a
 	// win within the watch window rolls the promotion back.
 	if prev := l.lin.previous; prev != nil {
-		l.publishRival(prev.ts)
+		l.publishRival(&rivalSpec{ts: prev.ts})
 	}
 	return g, nil
 }
@@ -601,19 +616,19 @@ func (l *learner) rollbackLocked(cause string) (*generation, error) {
 func (l *learner) forcePromote() (uint64, error) {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
-	var cand *model.TraceSet
+	var cand *rivalSpec
 	if !l.sm.watching {
 		if spec := l.rival.Load(); spec != nil && spec.ts != nil {
-			cand = spec.ts
+			cand = spec
 		}
 	}
 	if cand == nil {
-		cand = l.materializeLocked(true)
+		cand = l.candidateLocked(true)
 	}
 	if cand == nil {
 		return 0, fmt.Errorf("core: no shadow candidate to promote yet")
 	}
-	g, err := l.promoteLocked(cand)
+	g, err := l.promoteLocked(cand.materialize())
 	if err != nil {
 		return 0, err
 	}

@@ -26,7 +26,7 @@ func fastLearn() LearnPolicy {
 
 // recordPattern builds a reference trace set of reps repetitions of the
 // named event pattern on thread 0.
-func recordPattern(t *testing.T, pattern []string, reps int) *model.TraceSet {
+func recordPattern(t testing.TB, pattern []string, reps int) *model.TraceSet {
 	t.Helper()
 	s := NewRecordSession(WithRecorderOptions())
 	th := s.Thread(0)

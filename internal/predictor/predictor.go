@@ -13,7 +13,7 @@
 package predictor
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/grammar"
 	"repro/internal/model"
@@ -526,22 +526,75 @@ func dominant(f *grammar.Frozen, branches []sim, step int) Prediction {
 	return best
 }
 
+// mergeLinearMax is the set size up to which merging finds duplicate
+// positions by pairwise comparison. Trackers mostly hold two or three
+// hypotheses, where a scan beats hashing keys into a fresh map.
+const mergeLinearMax = 16
+
+// posIndex finds duplicate positions while a set of branches is merged.
+// Small sets compare positions pairwise; larger ones look up each
+// position's AppendKey in a map, which allocates only for distinct
+// positions. Both find exactly the same duplicates.
+type posIndex struct {
+	byKey map[string]int
+	key   []byte
+}
+
+// newPosIndex returns the index for merging n branches.
+func newPosIndex(n int) posIndex {
+	if n > mergeLinearMax {
+		return posIndex{byKey: make(map[string]int, n)}
+	}
+	return posIndex{}
+}
+
+// find returns the index of the merged entry whose position equals p, given
+// the n entries merged so far (at returns the i-th one's position). When
+// there is none it returns -1, and p becomes merged entry n.
+func (x *posIndex) find(p progress.Position, n int, at func(i int) progress.Position) int {
+	if x.byKey == nil {
+		for i := 0; i < n; i++ {
+			if at(i).Equal(p) {
+				return i
+			}
+		}
+		return -1
+	}
+	x.key = p.AppendKey(x.key[:0])
+	if i, ok := x.byKey[string(x.key)]; ok {
+		return i
+	}
+	x.byKey[string(x.key)] = n
+	return -1
+}
+
+// heavierFirst orders weights descending for a stable sort. Unordered
+// pairs (NaN) compare equal, so the order matches a sort on "a > b".
+func heavierFirst(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
+}
+
 // mergeCap merges branches with identical positions, sorts by descending
 // weight and keeps at most max, optionally renormalising weights to sum
 // to 1.
 func mergeCap(branches []progress.Branch, max int, renorm bool) []progress.Branch {
-	byKey := make(map[string]int, len(branches))
+	idx := newPosIndex(len(branches))
 	out := make([]progress.Branch, 0, len(branches))
+	at := func(i int) progress.Position { return out[i].Pos }
 	for _, b := range branches {
-		k := b.Pos.Key()
-		if i, ok := byKey[k]; ok {
+		if i := idx.find(b.Pos, len(out), at); i >= 0 {
 			out[i].Weight += b.Weight
 			continue
 		}
-		byKey[k] = len(out)
 		out = append(out, b)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Weight > out[j].Weight })
+	slices.SortStableFunc(out, func(a, b progress.Branch) int { return heavierFirst(a.Weight, b.Weight) })
 	if len(out) > max {
 		out = out[:max]
 	}
@@ -562,11 +615,11 @@ func mergeCap(branches []progress.Branch, max int, renorm bool) []progress.Branc
 // mergeCapSim is mergeCap for look-ahead branches, merging accumulated
 // durations by weighted average.
 func mergeCapSim(branches []sim, max int) []sim {
-	byKey := make(map[string]int, len(branches))
+	idx := newPosIndex(len(branches))
 	out := make([]sim, 0, len(branches))
+	at := func(i int) progress.Position { return out[i].br.Pos }
 	for _, s := range branches {
-		k := s.br.Pos.Key()
-		if i, ok := byKey[k]; ok {
+		if i := idx.find(s.br.Pos, len(out), at); i >= 0 {
 			w1, w2 := out[i].br.Weight, s.br.Weight
 			if w1+w2 > 0 {
 				out[i].acc = (out[i].acc*w1 + s.acc*w2) / (w1 + w2)
@@ -574,10 +627,9 @@ func mergeCapSim(branches []sim, max int) []sim {
 			out[i].br.Weight += w2
 			continue
 		}
-		byKey[k] = len(out)
 		out = append(out, s)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].br.Weight > out[j].br.Weight })
+	slices.SortStableFunc(out, func(a, b sim) int { return heavierFirst(a.br.Weight, b.br.Weight) })
 	if len(out) > max {
 		out = out[:max]
 	}

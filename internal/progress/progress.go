@@ -9,7 +9,9 @@
 package progress
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/grammar"
@@ -78,16 +80,25 @@ func (p Position) Terminal(f *grammar.Frozen) int32 {
 	return f.RunAt(p.Ref()).Sym.Event()
 }
 
-// Key returns a compact comparable encoding of the position, used to merge
-// duplicate hypotheses.
-func (p Position) Key() string {
-	var b strings.Builder
-	b.Grow(len(p.frames) * 12)
+// AppendKey appends a fixed-width binary encoding of the position to buf
+// and returns the extended slice: per frame, rule, run position and
+// iteration as little-endian uint32s. Two positions encode equally exactly
+// when their frame stacks are equal, so the key merges duplicate
+// hypotheses; looking it up as map[string(buf)] does not allocate.
+// pythia:hotpath — the caller owns and reuses buf.
+func (p Position) AppendKey(buf []byte) []byte {
 	for _, fr := range p.frames {
-		fmt.Fprintf(&b, "%d.%d.%d;", fr.Ref.Rule, fr.Ref.Pos, fr.Iter)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(fr.Ref.Rule))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(fr.Ref.Pos))
+		buf = binary.LittleEndian.AppendUint32(buf, fr.Iter)
 	}
-	return b.String()
+	return buf
 }
+
+// Equal reports whether p and q hold the same frame stack: the equivalence
+// AppendKey encodes, without building the keys.
+// pythia:hotpath — duplicate detection while merging hypotheses.
+func (p Position) Equal(q Position) bool { return slices.Equal(p.frames, q.frames) }
 
 // String renders the position for debugging.
 func (p Position) String() string {

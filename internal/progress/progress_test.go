@@ -199,7 +199,7 @@ func TestPositionKeyDistinguishesIterations(t *testing.T) {
 	if len(brs) != 1 {
 		t.Fatalf("got %d successors", len(brs))
 	}
-	if pos.Key() == brs[0].Pos.Key() {
+	if key(pos) == key(brs[0].Pos) {
 		t.Fatal("positions at different repetitions share a key")
 	}
 }

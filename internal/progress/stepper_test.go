@@ -36,7 +36,7 @@ func TestStepperMatchesSuccessorsAnchored(t *testing.T) {
 				if res != AdvanceEnd {
 					t.Fatalf("%q step %d: Successors empty but Advance = %v", s, step, res)
 				}
-				if st.Pos().Key() != pos.Key() {
+				if key(st.Pos()) != key(pos) {
 					t.Fatalf("%q step %d: position changed on AdvanceEnd", s, step)
 				}
 				return
@@ -44,7 +44,7 @@ func TestStepperMatchesSuccessorsAnchored(t *testing.T) {
 				if res != AdvanceOK {
 					t.Fatalf("%q step %d: unique successor but Advance = %v", s, step, res)
 				}
-				if st.Pos().Key() != want[0].Pos.Key() {
+				if key(st.Pos()) != key(want[0].Pos) {
 					t.Fatalf("%q step %d: stepper at %v, want %v", s, step, st.Pos(), want[0].Pos)
 				}
 				if st.Terminal() != want[0].Pos.Terminal(f) {
@@ -92,7 +92,7 @@ func TestStepperPartialPositions(t *testing.T) {
 							t.Fatalf("seq %d ev %d occ %d step %d: AdvanceOK with %d reference successors",
 								si, e, oi, step, len(want))
 						}
-						if st.Pos().Key() != want[0].Pos.Key() {
+						if key(st.Pos()) != key(want[0].Pos) {
 							t.Fatalf("seq %d ev %d occ %d step %d: position %v, want %v",
 								si, e, oi, step, st.Pos(), want[0].Pos)
 						}
@@ -103,7 +103,7 @@ func TestStepperPartialPositions(t *testing.T) {
 						t.Fatalf("seq %d ev %d occ %d step %d: AdvanceEnd with %d reference successors",
 							si, e, oi, step, len(want))
 					}
-					if st.Pos().Key() != pos.Key() {
+					if key(st.Pos()) != key(pos) {
 						t.Fatalf("seq %d ev %d occ %d step %d: position changed on %v",
 							si, e, oi, step, res)
 					}
@@ -131,7 +131,7 @@ func TestStepperViewsAndRefs(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		durable := st.Pos()
 		view := st.PosView()
-		if durable.Key() != view.Key() {
+		if key(durable) != key(view) {
 			t.Fatalf("step %d: Pos and PosView disagree", step)
 		}
 		gotRefs := st.AppendRefs(nil)
@@ -147,7 +147,7 @@ func TestStepperViewsAndRefs(t *testing.T) {
 		if st.Advance() != AdvanceOK {
 			break
 		}
-		if durable.Key() == st.Pos().Key() {
+		if key(durable) == key(st.Pos()) {
 			t.Fatalf("step %d: durable Pos followed the stepper", step)
 		}
 	}
